@@ -29,15 +29,17 @@
 //	                                   plan across workers and prints one
 //	                                   NDJSON row per point (sorted by index,
 //	                                   deterministic fields only) on stdout,
-//	                                   with a mergeable-reducer summary on
-//	                                   stderr.
+//	                                   with an exact summary on stderr
+//	                                   (mean, stddev, nearest-rank p50/p90,
+//	                                   extremes, histogram) that is
+//	                                   byte-identical at any -shards.
 //
 // Coordinator flags: -shards N (0 = run single-process in this binary — the
 // reference the sharded output must diff clean against), -chunk (points per
 // assignment), -connect url[,url...] (use running HTTP workers instead of
 // spawning local processes), -worker-bin (worker binary to spawn; default:
 // this binary), -journal path (checkpoint/resume), -instrs (per-point
-// budget, baked into the demo plan's configs), -topk (extremes retained in
+// budget, baked into the demo plan's configs), -topk (extremes reported in
 // the summary).
 //
 // Service quickstart (one service, two self-registered workers, one client):
@@ -100,7 +102,7 @@ func main() {
 		workerBin  = flag.String("worker-bin", "", "coordinator: worker binary to spawn (default: this binary)")
 		journal    = flag.String("journal", "", "coordinator: checkpoint journal path (resume by re-running with the same flags)")
 		instrs     = flag.Uint64("instrs", 50_000, "committed-instruction budget per demo-plan point")
-		topk       = flag.Int("topk", 3, "coordinator: extremes retained per side in the IPC summary")
+		topk       = flag.Int("topk", 3, "coordinator: extremes reported per side in the IPC summary")
 	)
 	flag.Parse()
 

@@ -10,7 +10,7 @@
 // spatial-region prefetching (PrefetchMANA) and shadow-branch decoding that
 // prefills the FTB ahead of the predictor (PrefetchShadow).
 //
-// The primary surface is the v3 Plan/Stream pair over the concurrent
+// The primary surface is the Plan/Stream pair over the concurrent
 // Engine: a context-aware, worker-pooled, memoising executor. A Plan
 // declares a parameter space from composable axes — workloads (Over), knob
 // sweeps (Vary), explicit named machines (Configs) — and expands it lazily,
@@ -65,10 +65,10 @@
 //	})
 //	for out, err := range coord.Stream(ctx, plan) { ... }
 //
-// For spaces too large to collect at all, mergeable reducers (DistSummary:
-// online moments, a fixed-bucket histogram sketch, and fixed-memory
-// top-k/bottom-k) fold each shard locally and merge to exactly the
-// single-pass summary.
+// DistSummary reports a sweep's metric exactly: mean, stddev, nearest-rank
+// p50/p90, top-k/bottom-k points and a bucket histogram, computed from the
+// sorted sample so the summary is byte-identical whatever the shard count or
+// delivery order.
 //
 // Above the coordinator sits the sweep service (SweepServer; fdipd -serve):
 // a long-running daemon with a persistent priority job queue, a shared
@@ -94,7 +94,6 @@ import (
 	"fdip/internal/oracle"
 	"fdip/internal/prefetch"
 	"fdip/internal/program"
-	"fdip/internal/stats"
 	"fdip/internal/svc"
 	"fdip/internal/trace"
 	"fdip/internal/workloads"
@@ -246,10 +245,9 @@ type (
 	DistHTTP     = dist.HTTP
 	// DistMetric projects an outcome to the scalar a DistSummary reduces.
 	DistMetric = dist.Metric
-	// DistSummary is the mergeable sweep reduction: online moments, a
-	// fixed-bucket histogram sketch, and fixed-memory top-k/bottom-k
-	// extremes, shard-mergeable with results identical to a single
-	// sequential pass.
+	// DistSummary is the exact sweep reduction: mean, stddev, nearest-rank
+	// p50/p90, top-k/bottom-k points and a bucket histogram over the sorted
+	// sample, identical whatever order the outcomes arrive in.
 	DistSummary = dist.Summary
 	// DistRegistry is the dynamic session pool: workers self-register (and
 	// heartbeat) instead of arriving via static dialer lists; dead workers
@@ -263,14 +261,6 @@ type (
 	// JobKey is a job's exported simulation identity — equal keys are
 	// bit-identical results (the memo/cache/fingerprint key).
 	JobKey = engine.JobKey
-	// Moments is the mergeable online mean/variance accumulator.
-	Moments = stats.Moments
-	// HistogramSketch is the mergeable fixed-bucket histogram reducer.
-	HistogramSketch = stats.HistogramSketch
-	// JobTopK retains the k best (or worst) scored jobs of a stream in
-	// O(k) memory, mergeable across shards; ScoredJob is one entry.
-	JobTopK   = stats.TopK[engine.Job]
-	ScoredJob = stats.ScoredItem[engine.Job]
 )
 
 // ErrDistQuiesced wraps the terminal stream error after a graceful
@@ -331,8 +321,8 @@ func NewDistWorker(workers int) *DistWorker { return dist.NewWorker(workers) }
 // HTTP dialer per worker host).
 func DistRoundRobin(dialers ...DistDialer) DistDialer { return dist.RoundRobin(dialers...) }
 
-// NewDistSummary builds a mergeable summary over metric, retaining k
-// extremes each way; DistIPC is the canonical metric.
+// NewDistSummary builds an exact summary over metric, reporting k extremes
+// each way; DistIPC is the canonical metric.
 func NewDistSummary(name string, k int, metric DistMetric) *DistSummary {
 	return dist.NewSummary(name, k, metric)
 }
@@ -373,24 +363,6 @@ func Workloads() []Workload { return workloads.All() }
 
 // WorkloadByName finds a benchmark by name ("gcc", "vortex", ...).
 func WorkloadByName(name string) (Workload, bool) { return workloads.ByName(name) }
-
-// Run simulates cfg over the image with branch outcomes drawn from seed,
-// returning the final measurements.
-//
-// Deprecated: use Engine.Run (or Engine.RunImage for a pre-generated image),
-// which adds cancellation, memoisation, and parallel batching.
-func Run(cfg Config, im *Image, seed int64) (Result, error) {
-	return NewEngine(WithWorkers(1)).RunImage(context.Background(), cfg, im, seed)
-}
-
-// RunWorkload simulates cfg over a named workload.
-//
-// Deprecated: use Engine.Run with a Job naming the workload.
-func RunWorkload(cfg Config, w Workload) (Result, error) {
-	params := w.Params
-	return NewEngine(WithWorkers(1)).Run(context.Background(),
-		Job{Name: w.Name, Config: cfg, Params: &params, Seed: w.Seed})
-}
 
 // Simulator exposes cycle-level control for callers that want to observe the
 // machine mid-run (examples, visualisation, tests).
@@ -471,4 +443,4 @@ func ReplayTrace(r io.Reader, cfg Config) (Result, error) {
 }
 
 // Version identifies the library release.
-const Version = "3.3.0"
+const Version = "4.0.0"

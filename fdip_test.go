@@ -25,31 +25,14 @@ func TestRunFacade(t *testing.T) {
 	im := smallImage(t)
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 50_000
-	res, err := Run(cfg, im, 3)
+	res, err := NewEngine(WithWorkers(1)).RunImage(context.Background(), cfg, im, 3)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunImage: %v", err)
 	}
 	if res.Committed < cfg.MaxInstrs {
 		t.Errorf("committed %d", res.Committed)
 	}
 	if res.Prefetcher != "none" {
-		t.Errorf("prefetcher = %q", res.Prefetcher)
-	}
-}
-
-func TestRunWorkloadFacade(t *testing.T) {
-	w, ok := WorkloadByName("deltablue")
-	if !ok {
-		t.Fatal("deltablue missing")
-	}
-	cfg := DefaultConfig()
-	cfg.MaxInstrs = 50_000
-	cfg.Prefetch.Kind = PrefetchFDP
-	res, err := RunWorkload(cfg, w)
-	if err != nil {
-		t.Fatalf("RunWorkload: %v", err)
-	}
-	if !strings.HasPrefix(res.Prefetcher, "fdp") {
 		t.Errorf("prefetcher = %q", res.Prefetcher)
 	}
 }
@@ -96,7 +79,7 @@ func TestSimulatorMatchesRun(t *testing.T) {
 	im := smallImage(t)
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 40_000
-	direct, err := Run(cfg, im, 9)
+	direct, err := NewEngine(WithWorkers(1)).RunImage(context.Background(), cfg, im, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +115,7 @@ func TestTraceRoundTripFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := Run(cfg, im, 4)
+	live, err := NewEngine(WithWorkers(1)).RunImage(context.Background(), cfg, im, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +134,7 @@ func TestConfigErrorsSurface(t *testing.T) {
 	im := smallImage(t)
 	cfg := DefaultConfig()
 	cfg.Prefetch.Kind = "hexray"
-	if _, err := Run(cfg, im, 1); err == nil {
+	if _, err := NewEngine(WithWorkers(1)).RunImage(context.Background(), cfg, im, 1); err == nil {
 		t.Error("bad prefetcher accepted")
 	}
 	if _, err := NewSimulator(cfg, im, 1); err == nil {
@@ -217,11 +200,13 @@ func TestEngineHonorsCancellation(t *testing.T) {
 	}
 }
 
-func TestDeprecatedWrappersMatchEngine(t *testing.T) {
+// TestRunImageMatchesEngineRun: running a pre-generated image and running
+// the job that names its params must agree bit-for-bit.
+func TestRunImageMatchesEngineRun(t *testing.T) {
 	im := smallImage(t)
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 30_000
-	old, err := Run(cfg, im, 3)
+	viaImage, err := NewEngine(WithWorkers(1)).RunImage(context.Background(), cfg, im, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +217,8 @@ func TestDeprecatedWrappersMatchEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old != viaEngine {
-		t.Error("deprecated Run and Engine.Run diverge for the same machine and seed")
+	if viaImage != viaEngine {
+		t.Error("Engine.RunImage and Engine.Run diverge for the same machine and seed")
 	}
 }
 
@@ -285,11 +270,11 @@ func TestPlanStreamFacade(t *testing.T) {
 	}
 }
 
-func TestVersionIsV3(t *testing.T) {
+func TestVersionIsV4(t *testing.T) {
 	if Version == "" {
 		t.Error("empty Version")
 	}
-	if !strings.HasPrefix(Version, "3.") {
-		t.Errorf("Version = %q, want a 3.x release (Plan/Stream surface)", Version)
+	if !strings.HasPrefix(Version, "4.") {
+		t.Errorf("Version = %q, want a 4.x release (exact sweep summaries, no deprecated Run wrappers)", Version)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +14,6 @@ import (
 	"fdip/internal/core"
 	"fdip/internal/engine"
 	"fdip/internal/prefetch"
-	"fdip/internal/stats"
 )
 
 // goldenChecksum mirrors internal/engine's pinned constant: the FNV-64a
@@ -307,71 +306,83 @@ func TestStreamEarlyBreakUnwinds(t *testing.T) {
 	}
 }
 
-// TestSummaryShardMergeMatchesSequential pins the mergeable-reducer
-// contract on real outcomes: per-shard summaries merged in any order agree
-// with one sequential fold — exactly for the discrete parts (count,
-// failures, top-k/bottom-k retained sets) and to float tolerance for the
-// moments.
-func TestSummaryShardMergeMatchesSequential(t *testing.T) {
-	ref := reference(t, testPlan())
-	seq := NewSummary("IPC", 3, IPC)
-	for _, out := range ref {
-		seq.Observe(out)
+// demoOutcomes are the fdipd demo sweep's six rows at a 20000-instruction
+// budget, in enumeration order.
+func demoOutcomes() []engine.RunOutcome {
+	ipcs := []struct {
+		name string
+		ipc  float64
+	}{
+		{"gcc/base", 0.23920504143398663},
+		{"gcc/nextline", 0.40138047273165056},
+		{"gcc/fdp", 0.8260654112983151},
+		{"deltablue/base", 0.9387937103966205},
+		{"deltablue/nextline", 1.2131376235822162},
+		{"deltablue/fdp", 1.4799112097669256},
 	}
-	for _, shards := range []int{2, 3} {
-		parts := make([]*Summary, shards)
-		for i := range parts {
-			parts[i] = NewSummary("IPC", 3, IPC)
+	outs := make([]engine.RunOutcome, len(ipcs))
+	for i, p := range ipcs {
+		outs[i] = engine.RunOutcome{Index: i, Job: engine.Job{Name: p.name}, Result: core.Result{IPC: p.ipc}}
+	}
+	return outs
+}
+
+// TestSummaryOrderIndependent pins Summary.String() on a table of inputs and
+// checks it is byte-identical under many seeded permutations of Observe
+// order — the delivery-order freedom a sharded sweep has. The demo case pins
+// nearest-rank p50/p90 (ranks 3 and 6 of 6).
+func TestSummaryOrderIndependent(t *testing.T) {
+	failed := func(n int) []engine.RunOutcome {
+		outs := make([]engine.RunOutcome, n)
+		for i := range outs {
+			outs[i] = engine.RunOutcome{Index: i, Job: engine.Job{Name: fmt.Sprintf("p%d", i)}, Err: errors.New("boom")}
 		}
-		for i, out := range ref {
-			parts[i%shards].Observe(out)
-		}
-		merged := NewSummary("IPC", 3, IPC)
-		for i := shards - 1; i >= 0; i-- {
-			merged.Merge(parts[i])
-		}
-		if merged.Moments.Count != seq.Moments.Count || merged.Failures != seq.Failures {
-			t.Fatalf("shards=%d: count/failures %d/%d, want %d/%d",
-				shards, merged.Moments.Count, merged.Failures, seq.Moments.Count, seq.Failures)
-		}
-		if d := merged.Moments.Mean - seq.Moments.Mean; d > 1e-12 || d < -1e-12 {
-			t.Errorf("shards=%d: merged mean drifts by %g", shards, d)
-		}
-		// Quantile legs: count and min/max stay exact under merge; the
-		// estimates themselves are approximate, so bound them by the
-		// metric's exact range rather than pinning bits.
-		if merged.P50.Count() != seq.P50.Count() || merged.P90.Count() != seq.P90.Count() {
-			t.Errorf("shards=%d: quantile counts %d/%d, want %d/%d",
-				shards, merged.P50.Count(), merged.P90.Count(), seq.P50.Count(), seq.P90.Count())
-		}
-		if merged.P50.Min() != seq.P50.Min() || merged.P50.Max() != seq.P50.Max() {
-			t.Errorf("shards=%d: merged min/max %v/%v, want exact %v/%v",
-				shards, merged.P50.Min(), merged.P50.Max(), seq.P50.Min(), seq.P50.Max())
-		}
-		for name, q := range map[string]*stats.P2Quantile{"p50": merged.P50, "p90": merged.P90} {
-			if v := q.Quantile(); v < q.Min() || v > q.Max() {
-				t.Errorf("shards=%d: merged %s=%v outside observed range [%v, %v]",
-					shards, name, v, q.Min(), q.Max())
+		return outs
+	}
+	for _, tc := range []struct {
+		name string
+		k    int
+		outs []engine.RunOutcome
+		want string
+	}{
+		{"demo", 3, demoOutcomes(), `IPC: n=6 mean=0.8497 stddev=0.4304 p50=0.8261 p90=1.4799 failures=0
+  top    deltablue/fdp                            1.4799
+  top    deltablue/nextline                       1.2131
+  top    deltablue/base                           0.9388
+  bottom gcc/base                                 0.2392
+  bottom gcc/nextline                             0.4014
+  bottom gcc/fdp                                  0.8261
+  hist[0,8)/32: [0,0.25):1 [0.25,0.5):1 [0.75,1):2 [1,1.25):1 [1.25,1.5):1`},
+		{"empty", 3, nil, `IPC: n=0 mean=0.0000 stddev=0.0000 p50=0.0000 p90=0.0000 failures=0
+  hist[0,8)/32: empty`},
+		{"k>n", 4, demoOutcomes()[:2], `IPC: n=2 mean=0.3203 stddev=0.0811 p50=0.2392 p90=0.4014 failures=0
+  top    gcc/nextline                             0.4014
+  top    gcc/base                                 0.2392
+  bottom gcc/base                                 0.2392
+  bottom gcc/nextline                             0.4014
+  hist[0,8)/32: [0,0.25):1 [0.25,0.5):1`},
+		{"all-failures", 3, failed(5), `IPC: n=0 mean=0.0000 stddev=0.0000 p50=0.0000 p90=0.0000 failures=5
+  hist[0,8)/32: empty`},
+		{"ties-and-failures", 2, append(failed(2), []engine.RunOutcome{
+			{Index: 2, Job: engine.Job{Name: "c"}, Result: core.Result{IPC: 1}},
+			{Index: 3, Job: engine.Job{Name: "d"}, Result: core.Result{IPC: 9}},
+			{Index: 4, Job: engine.Job{Name: "e"}, Result: core.Result{IPC: 1}},
+			{Index: 5, Job: engine.Job{Name: "f"}, Result: core.Result{IPC: -1}},
+		}...), `IPC: n=4 mean=2.5000 stddev=3.8406 p50=1.0000 p90=9.0000 failures=2
+  top    d                                        9.0000
+  top    c                                        1.0000
+  bottom f                                        -1.0000
+  bottom c                                        1.0000
+  hist[0,8)/32: <0:1 [1,1.25):2 >=8:1`},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		for perm := 0; perm < 200; perm++ {
+			s := NewSummary("IPC", tc.k, IPC)
+			for _, i := range rng.Perm(len(tc.outs)) {
+				s.Observe(tc.outs[i])
 			}
-		}
-		// Histogram leg: integer counts over fixed geometry merge exactly, so
-		// the sharded sketch must be bit-identical to the sequential one.
-		if !reflect.DeepEqual(merged.Hist, seq.Hist) {
-			t.Errorf("shards=%d: merged histogram diverges from sequential pass:\n%v\nwant\n%v",
-				shards, merged.Hist, seq.Hist)
-		}
-		for name, pair := range map[string][2][]stats.ScoredItem[engine.Job]{
-			"top":    {merged.Top.Items(), seq.Top.Items()},
-			"bottom": {merged.Bottom.Items(), seq.Bottom.Items()},
-		} {
-			got, want := pair[0], pair[1]
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d %s: %d items, want %d", shards, name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Seq != want[i].Seq || got[i].Score != want[i].Score || got[i].Value.Name != want[i].Value.Name {
-					t.Errorf("shards=%d %s[%d]: %v != sequential %v", shards, name, i, got[i], want[i])
-				}
+			if got := s.String(); got != tc.want {
+				t.Fatalf("%s, permutation %d:\n%s\nwant\n%s", tc.name, perm, got, tc.want)
 			}
 		}
 	}

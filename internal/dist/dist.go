@@ -12,8 +12,9 @@
 // fixed by the Plan, and outcomes carry their enumeration index, so an N-way
 // sharded sweep — including one interrupted by worker kills and coordinator
 // restarts — reassembles into exactly the outcomes a single process would
-// have produced. Reducers that summarise instead of collecting (stats.Moments,
-// stats.TopK via Summary) merge shard-locally with the same guarantee.
+// have produced. Summary, which reduces a sweep to one report line, keeps the
+// same guarantee: it sorts the exact sample, so its output does not depend on
+// delivery order or shard count.
 package dist
 
 import (

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"strings"
 
 	"fdip/internal/engine"
 	"fdip/internal/stats"
@@ -19,57 +20,37 @@ func MissPKI(out engine.RunOutcome) float64 { return out.Result.MissPKI }
 // BusUtilPct reduces the L1<->L2 bus utilisation percentage.
 func BusUtilPct(out engine.RunOutcome) float64 { return out.Result.BusUtilPct }
 
-// Summary is the mergeable reduction of a sweep over one metric: online
-// mean/variance (stats.Moments) plus the k best and k worst points
-// (stats.TopK, tie-broken by enumeration index) and a failure count. Each
-// shard can fold its own ranges into a private Summary and Merge them — the
-// result is identical (TopK sets exactly, moments up to float associativity)
-// to observing the whole stream in one process, in any order, which is what
-// lets million-point sweeps report without anyone holding the result set.
+// Summary is the exact reduction of a sweep over one metric: every
+// successful point's value kept in a stats.Sample, which yields the mean,
+// population stddev, nearest-rank p50/p90, the k best and k worst points
+// (ties to the lower enumeration index) and a fixed-bucket histogram, plus a
+// failure count. All of them depend only on the set of outcomes observed,
+// never on their order, so a sharded sweep prints exactly the summary of a
+// single-process one.
 type Summary struct {
 	// MetricName labels the reduced metric in reports.
 	MetricName string
-	// Moments holds the metric's count/mean/variance over successful points.
-	Moments stats.Moments
-	// Top and Bottom retain the k highest- and lowest-metric points.
-	Top, Bottom *stats.TopK[engine.Job]
-	// P50 and P90 estimate the metric's median and 90th percentile in
-	// fixed memory (stats.P2Quantile). Unlike the other legs they merge
-	// approximately: a sharded reduction's quantiles track, but are not
-	// bit-identical to, the sequential pass (min/max and count stay exact).
-	P50, P90 *stats.P2Quantile
-	// Hist is the metric's fixed-bucket value distribution
-	// (stats.HistogramSketch). Integer counts over a geometry fixed at
-	// construction merge exactly, so the sharded histogram is bit-identical
-	// to the sequential pass. The default geometry (histBuckets buckets over
-	// [0, histHi)) suits IPC-scaled metrics; out-of-range values land in the
-	// under/overflow counters rather than being lost.
-	Hist *stats.HistogramSketch
 	// Failures counts outcomes that carried an error (excluded from the
-	// metric's moments and extremes).
+	// metric's sample).
 	Failures int
 
+	k      int
 	metric Metric
+	sample stats.Sample
+	names  map[int]string // job name per observed enumeration index
 }
 
-// Default histogram geometry: every shard of one reduction must build the
-// same sketch, so NewSummary fixes it rather than inferring it from data.
+// Histogram geometry of the report: histBuckets buckets over [0, histHi),
+// suited to IPC-scaled metrics; out-of-range values land in the under/over
+// counts rather than being lost.
 const (
 	histHi      = 8.0
 	histBuckets = 32
 )
 
-// NewSummary builds a summary over metric, retaining k extremes each way.
+// NewSummary builds a summary over metric, reporting k extremes each way.
 func NewSummary(name string, k int, metric Metric) *Summary {
-	return &Summary{
-		MetricName: name,
-		Top:        stats.NewTopK[engine.Job](k),
-		Bottom:     stats.NewBottomK[engine.Job](k),
-		P50:        stats.NewP2Quantile(0.5),
-		P90:        stats.NewP2Quantile(0.9),
-		Hist:       stats.NewHistogramSketch(0, histHi, histBuckets),
-		metric:     metric,
-	}
+	return &Summary{MetricName: name, k: k, metric: metric, names: map[int]string{}}
 }
 
 // Observe folds one outcome.
@@ -78,37 +59,40 @@ func (s *Summary) Observe(out engine.RunOutcome) {
 		s.Failures++
 		return
 	}
-	v := s.metric(out)
-	s.Moments.Add(v)
-	s.Top.Add(v, int64(out.Index), out.Job)
-	s.Bottom.Add(v, int64(out.Index), out.Job)
-	s.P50.Add(v)
-	s.P90.Add(v)
-	s.Hist.Add(v)
-}
-
-// Merge folds another shard's summary into s.
-func (s *Summary) Merge(o *Summary) {
-	s.Moments.Merge(o.Moments)
-	s.Top.Merge(o.Top)
-	s.Bottom.Merge(o.Bottom)
-	s.P50.Merge(o.P50)
-	s.P90.Merge(o.P90)
-	s.Hist.Merge(o.Hist)
-	s.Failures += o.Failures
+	s.sample.Add(s.metric(out), out.Index)
+	s.names[out.Index] = out.Job.Name
 }
 
 // String renders the summary in report form.
 func (s *Summary) String() string {
-	out := fmt.Sprintf("%s: n=%d mean=%.4f stddev=%.4f p50=%.4f p90=%.4f failures=%d",
-		s.MetricName, s.Moments.Count, s.Moments.Mean, s.Moments.StdDev(),
-		s.P50.Quantile(), s.P90.Quantile(), s.Failures)
-	for _, it := range s.Top.Items() {
-		out += fmt.Sprintf("\n  top    %-40s %.4f", it.Value.Name, it.Score)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: n=%d mean=%.4f stddev=%.4f p50=%.4f p90=%.4f failures=%d",
+		s.MetricName, s.sample.Len(), s.sample.Mean(), s.sample.StdDev(),
+		s.sample.Percentile(50), s.sample.Percentile(90), s.Failures)
+	for _, p := range s.sample.Top(s.k) {
+		fmt.Fprintf(&b, "\n  top    %-40s %.4f", s.names[p.Index], p.Value)
 	}
-	for _, it := range s.Bottom.Items() {
-		out += fmt.Sprintf("\n  bottom %-40s %.4f", it.Value.Name, it.Score)
+	for _, p := range s.sample.Bottom(s.k) {
+		fmt.Fprintf(&b, "\n  bottom %-40s %.4f", s.names[p.Index], p.Value)
 	}
-	out += "\n  " + s.Hist.String()
-	return out
+	counts, under, over := s.sample.Buckets(0, histHi, histBuckets)
+	fmt.Fprintf(&b, "\n  hist[0,%g)/%d:", float64(histHi), histBuckets)
+	empty := under+over == 0
+	if under > 0 {
+		fmt.Fprintf(&b, " <0:%d", under)
+	}
+	w := histHi / histBuckets
+	for i, c := range counts {
+		if c > 0 {
+			fmt.Fprintf(&b, " [%.3g,%.3g):%d", float64(i)*w, float64(i+1)*w, c)
+			empty = false
+		}
+	}
+	if over > 0 {
+		fmt.Fprintf(&b, " >=%g:%d", float64(histHi), over)
+	}
+	if empty {
+		b.WriteString(" empty")
+	}
+	return b.String()
 }

@@ -15,6 +15,14 @@ func hier() *Hierarchy {
 	})
 }
 
+// completed drains every transfer finished at or before now, copying each
+// record because DrainCompleted recycles it.
+func completed(h *Hierarchy, now int64) []Transfer {
+	var done []Transfer
+	h.DrainCompleted(now, func(t *Transfer) { done = append(done, *t) })
+	return done
+}
+
 func TestColdMissLatency(t *testing.T) {
 	h := hier()
 	tr := h.Request(0x1000, false, 100)
@@ -33,7 +41,7 @@ func TestColdMissLatency(t *testing.T) {
 func TestL2HitLatency(t *testing.T) {
 	h := hier()
 	t1 := h.Request(0x1000, false, 0)
-	h.CompletedBy(t1.Done)
+	completed(h, t1.Done)
 	tr := h.Request(0x1000, false, 1000)
 	if tr.Done != 1000+10+4 {
 		t.Errorf("L2-hit Done = %d, want 1014", tr.Done)
@@ -93,20 +101,22 @@ func TestDemandMergesIntoPrefetch(t *testing.T) {
 	}
 }
 
+// TestCompletedByOrderAndRemoval: transfers completed by a cycle drain in
+// completion order and leave the in-flight set; later ones stay pending.
 func TestCompletedByOrderAndRemoval(t *testing.T) {
 	h := hier()
 	// Warm 0x2000 into L2 so it completes fast later.
 	w := h.Request(0x2000, false, 0)
-	h.CompletedBy(w.Done)
+	completed(h, w.Done)
 
-	slow := h.Request(0x1000, false, 200) // cold: done 264
-	fast := h.Request(0x2000, false, 200) // L2 hit, bus queued: start 204 → done 218
+	slow := *h.Request(0x1000, false, 200) // cold: done 264
+	fast := *h.Request(0x2000, false, 200) // L2 hit, bus queued: start 204 → done 218
 	if fast.Done >= slow.Done {
 		t.Fatalf("expected out-of-order completion: fast=%d slow=%d", fast.Done, slow.Done)
 	}
-	done := h.CompletedBy(fast.Done)
+	done := completed(h, fast.Done)
 	if len(done) != 1 || done[0] != fast {
-		t.Fatalf("CompletedBy returned %d transfers", len(done))
+		t.Fatalf("drain at %d returned %+v, want only %+v", fast.Done, done, fast)
 	}
 	if h.Inflight(0x2000) {
 		t.Error("completed transfer still inflight")
@@ -114,9 +124,9 @@ func TestCompletedByOrderAndRemoval(t *testing.T) {
 	if !h.Inflight(0x1000) {
 		t.Error("pending transfer dropped")
 	}
-	done = h.CompletedBy(slow.Done)
+	done = completed(h, slow.Done)
 	if len(done) != 1 || done[0] != slow {
-		t.Fatalf("second CompletedBy returned %d", len(done))
+		t.Fatalf("drain at %d returned %+v, want only %+v", slow.Done, done, slow)
 	}
 	if h.PendingCount() != 0 {
 		t.Errorf("PendingCount = %d", h.PendingCount())
@@ -135,7 +145,7 @@ func TestLineAlignment(t *testing.T) {
 func TestPrefetchFillsL2(t *testing.T) {
 	h := hier()
 	p := h.Request(0x1000, true, 0)
-	h.CompletedBy(p.Done)
+	completed(h, p.Done)
 	d := h.Request(0x1000, false, 500)
 	if !d.FromL2 {
 		t.Error("prefetch did not install line in L2")

@@ -1,6 +1,7 @@
 // Package stats provides the measurement plumbing shared by the simulator:
-// histograms, rate helpers, geometric means, and fixed-width text tables in
-// the style of the paper's result presentation.
+// histograms, the exact Sample behind sweep summaries, rate helpers,
+// geometric means, and fixed-width text tables in the style of the paper's
+// result presentation.
 package stats
 
 import (
