@@ -220,9 +220,11 @@ func runWorker(ctx context.Context, listen, register, advertise, id string, ttl 
 	return nil
 }
 
-// demoRequest is demoPlan as a service submission: identical workloads,
-// configs, and budgets, so service-streamed rows byte-diff clean against the
-// -coordinate -shards 0 reference.
+// demoRequest is the built-in smoke sweep as a service submission: two
+// workloads by three prefetch schemes. demoPlan is built from it, so
+// service-streamed rows byte-diff clean against the -coordinate -shards 0
+// reference. The budget is baked into every config (rather than applied by
+// the coordinator) so every mode executes literally identical jobs.
 func demoRequest(label string, priority int, instrs uint64, chunk int) svc.SubmitRequest {
 	mk := func(kind core.PrefetcherKind) core.Config {
 		c := core.DefaultConfig()
@@ -303,24 +305,16 @@ func runWatch(ctx context.Context, base, id string, from int) error {
 	})
 }
 
-// demoPlan is the built-in smoke sweep: two workloads by three prefetch
-// schemes. The budget is baked into every config (rather than applied by the
-// coordinator) so the -shards 0 reference and any sharded run execute
-// literally identical jobs.
+// demoPlan is demoRequest as an engine Plan, for the coordinator modes.
 func demoPlan(instrs uint64) *engine.Plan {
-	mk := func(kind core.PrefetcherKind) core.Config {
-		c := core.DefaultConfig()
-		c.MaxInstrs = instrs
-		c.Prefetch.Kind = kind
-		return c
+	req := demoRequest("", 0, instrs, 0)
+	pts := make([]engine.NamedConfig, len(req.Configs))
+	for i, c := range req.Configs {
+		pts[i] = engine.Named(c.Name, c.Config)
 	}
-	return engine.NewPlan(mk(core.PrefetchNone)).
-		OverNames("gcc", "deltablue").
-		Axes(engine.Configs(
-			engine.Named("base", mk(core.PrefetchNone)),
-			engine.Named("nextline", mk(core.PrefetchNextLine)),
-			engine.Named("fdp", mk(core.PrefetchFDP)),
-		))
+	return engine.NewPlan(req.Configs[0].Config).
+		OverNames(req.Workloads...).
+		Axes(engine.Configs(pts...))
 }
 
 // row is one output line: only fields that are deterministic functions of

@@ -3,25 +3,24 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sync"
 
 	"fdip/internal/engine"
+	"fdip/internal/wal"
 )
 
-// The journal is the coordinator's checkpoint: an append-only NDJSON file
-// whose first record is a header binding it to one (plan, chunking, budget)
-// fingerprint, followed by one record per completed range carrying the
-// range's outcomes. A range is journaled only after every one of its
-// outcomes arrived and validated, so the journal never contains partial
-// ranges — resume replays completed ranges verbatim and re-executes
-// everything else, which is exactly the at-least-once-per-range /
-// exactly-once-per-delivered-outcome semantics the merge contract needs.
+// The journal is the coordinator's checkpoint: a wal log whose first record
+// is a header binding it to one (plan, chunking, budget) fingerprint,
+// followed by one record per completed range carrying the range's outcomes.
+// A range is journaled only after every one of its outcomes arrived and
+// validated, so the journal never contains partial ranges — resume replays
+// completed ranges verbatim and re-executes everything else, which is exactly
+// the at-least-once-per-range / exactly-once-per-delivered-outcome semantics
+// the merge contract needs.
 //
-// Crash tolerance: a coordinator killed mid-append leaves a torn final line;
-// OpenJournal truncates the tail back to the last record that decodes and
-// validates, sacrificing (at most) the final range's work, never correctness.
+// Crash tolerance is wal's torn-tail rule: a range record that is torn, or
+// that decodes but is internally inconsistent, is truncated away with
+// everything after it, sacrificing (at most) the final range's work, never
+// correctness. A torn header leaves an empty journal, which starts afresh.
 type journalRecord struct {
 	Type string `json:"type"` // "header" | "range"
 
@@ -37,123 +36,65 @@ type journalRecord struct {
 }
 
 // Journal is an open checkpoint file positioned for appends.
-type Journal struct {
-	mu  sync.Mutex
-	f   *os.File
-	enc *json.Encoder
-}
+type Journal struct{ log *wal.Log }
 
 // OpenJournal opens (creating if absent) the journal at path for a sweep
 // with the given identity, returning the completed ranges it already holds,
 // keyed by range start. A journal written by a different plan, chunking, or
 // budget is rejected — replaying someone else's outcomes would silently
-// corrupt the sweep. A torn tail (crash mid-append) is truncated away.
+// corrupt the sweep.
 func OpenJournal(path string, fingerprint uint64, points, chunk int) (*Journal, map[int][]engine.RunOutcome, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	var hdr *journalRecord
+	foreign := false
+	completed := make(map[int][]engine.RunOutcome)
+	log, err := wal.Open(path, func(line []byte) error {
+		if foreign {
+			return nil // rejected below; never truncate someone else's journal
+		}
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		if hdr == nil {
+			hdr = &rec
+			foreign = rec.Type != "header" || rec.Fingerprint != fingerprint || rec.Points != points || rec.Chunk != chunk
+			return nil
+		}
+		if rec.Type != "range" || len(rec.Outcomes) != rec.Count || rec.Count <= 0 {
+			return fmt.Errorf("inconsistent range record at %d", rec.Start)
+		}
+		completed[rec.Start] = rec.Outcomes
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: journal: %w", err)
 	}
-	j := &Journal{f: f, enc: json.NewEncoder(f)}
-	completed := make(map[int][]engine.RunOutcome)
-
-	dec := json.NewDecoder(f)
-	var hdr journalRecord
-	switch err := dec.Decode(&hdr); {
-	case err == io.EOF:
-		// Fresh journal: stamp the header and start appending.
-		if err := j.append(journalRecord{Type: "header", Fingerprint: fingerprint, Points: points, Chunk: chunk}); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return j, completed, nil
-	case err != nil:
-		// The header itself is torn (crash before the first Sync ever
-		// completed): nothing is recoverable, start over.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("dist: journal: reset torn header: %w", err)
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := j.append(journalRecord{Type: "header", Fingerprint: fingerprint, Points: points, Chunk: chunk}); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return j, completed, nil
-	}
-	if hdr.Type != "header" || hdr.Fingerprint != fingerprint || hdr.Points != points || hdr.Chunk != chunk {
-		f.Close()
+	switch {
+	case foreign:
+		log.Close()
 		return nil, nil, fmt.Errorf("dist: journal %s belongs to a different sweep (fingerprint %#x points %d chunk %d; want %#x/%d/%d) — remove it or pick another path",
 			path, hdr.Fingerprint, hdr.Points, hdr.Chunk, fingerprint, points, chunk)
-	}
-
-	good := dec.InputOffset()
-	torn := false
-	for {
-		var rec journalRecord
-		err := dec.Decode(&rec)
-		if err == io.EOF {
-			break
-		}
-		// A record that fails to decode — or decodes but is internally
-		// inconsistent — marks the tear point; everything after it is
-		// suspect and gets re-executed rather than trusted.
-		if err != nil || rec.Type != "range" || len(rec.Outcomes) != rec.Count || rec.Count <= 0 {
-			torn = true
-			break
-		}
-		completed[rec.Start] = rec.Outcomes
-		good = dec.InputOffset()
-	}
-	if torn {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("dist: journal: truncate torn tail: %w", err)
+	case hdr == nil:
+		// Fresh journal: stamp the header and start appending.
+		if err := log.Append(journalRecord{Type: "header", Fingerprint: fingerprint, Points: points, Chunk: chunk}); err != nil {
+			log.Close()
+			return nil, nil, fmt.Errorf("dist: journal: %w", err)
 		}
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if torn {
-		// Truncation may have cut the last good record's trailing newline;
-		// keep the file one-record-per-line for human eyes (the decoder
-		// doesn't care either way).
-		if _, err := f.WriteString("\n"); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	return j, completed, nil
+	return &Journal{log: log}, completed, nil
 }
 
 // Commit durably records one completed range. The fsync is what upgrades
 // "yielded to the consumer" into "survives a kill -9": a range is only
 // journaled (and only skipped on resume) once its bytes are on disk.
 func (j *Journal) Commit(start int, outs []engine.RunOutcome) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.enc.Encode(journalRecord{Type: "range", Start: start, Count: len(outs), Outcomes: outs}); err != nil {
+	if err := j.log.Append(journalRecord{Type: "range", Start: start, Count: len(outs), Outcomes: outs}); err != nil {
 		return fmt.Errorf("dist: journal: append range [%d,%d): %w", start, start+len(outs), err)
 	}
-	return j.f.Sync()
-}
-
-// append writes one record without syncing (header writes).
-func (j *Journal) append(rec journalRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.enc.Encode(rec); err != nil {
-		return fmt.Errorf("dist: journal: %w", err)
-	}
-	return j.f.Sync()
+	return nil
 }
 
 // Close closes the journal file.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.log.Close()
 }

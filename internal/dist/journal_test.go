@@ -127,6 +127,68 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestJournalTornHeaderStartsFresh: a crash before the header's first fsync
+// leaves a torn header; reopening must start a fresh journal under the new
+// identity, and that journal must be usable.
+func TestJournalTornHeaderStartsFresh(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	if err := os.WriteFile(path, []byte(`{"type":"head`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, completed, err := OpenJournal(path, 7, 8, 2)
+	if err != nil {
+		t.Fatalf("open over a torn header: %v", err)
+	}
+	if len(completed) != 0 {
+		t.Fatalf("torn-header journal reports %d completed ranges", len(completed))
+	}
+	if err := j.Commit(0, synthRange(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j, completed, err = OpenJournal(path, 7, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(completed) != 1 {
+		t.Fatalf("restarted journal holds %d ranges, want 1", len(completed))
+	}
+}
+
+// TestJournalForeignLeftIntact: a journal that belongs to another sweep — or
+// a file that is no checkpoint journal at all — is refused without a byte of
+// it changing. Its later lines need not validate as this sweep's ranges, so
+// the replay must never treat them as a torn tail.
+func TestJournalForeignLeftIntact(t *testing.T) {
+	dir := t.TempDir()
+	other := filepath.Join(dir, "other")
+	j, _, err := OpenJournal(other, 42, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit(0, synthRange(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	queue := filepath.Join(dir, "queue.journal")
+	if err := os.WriteFile(queue, []byte("{\"op\":\"submit\",\"id\":\"s000001\"}\n{\"op\":\"done\",\"id\":\"s000001\"}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{other, queue} {
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := OpenJournal(path, 43, 8, 2); err == nil || !strings.Contains(err.Error(), "different sweep") {
+			t.Errorf("%s opened under fingerprint 43: err = %v", filepath.Base(path), err)
+		}
+		if after, _ := os.ReadFile(path); string(after) != string(before) {
+			t.Errorf("%s changed on disk:\nbefore %q\nafter  %q", filepath.Base(path), before, after)
+		}
+	}
+}
+
 // TestJournalPreventsReexecution is the checkpoint/resume satellite's core
 // assertion, at the coordinator level with an instrumented dialer: a killed
 // run's committed ranges are never re-executed on resume, and its incomplete

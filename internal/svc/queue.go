@@ -1,18 +1,16 @@
 package svc
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sync"
+
+	"fdip/internal/wal"
 )
 
-// queueRecord is one NDJSON line of the queue journal: a submission (with its
-// full request, so restart can rebuild the plan) or a terminal transition.
-// Sweeps with a submit record and no terminal record are unfinished — they
-// re-queue on restart, resuming from their own dist journals.
+// queueRecord is one line of the queue journal: a submission (with its full
+// request, so restart can rebuild the plan) or a terminal transition. Sweeps
+// with a submit record and no terminal record are unfinished — they re-queue
+// on restart, resuming from their own dist journals.
 type queueRecord struct {
 	Op    string         `json:"op"` // "submit" | "done" | "failed"
 	ID    string         `json:"id"`
@@ -20,75 +18,21 @@ type queueRecord struct {
 	Error string         `json:"error,omitempty"`
 }
 
-// queueJournal is the service's durable submission log: append-only NDJSON,
-// fsynced per record (a submission is acknowledged only after it is on disk),
-// torn tails from a crash mid-append truncated away at open — the same
-// discipline as the dist checkpoint journal.
-type queueJournal struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-// openQueueJournal opens (or creates) the journal at path, returning the
-// records that survive validation, in order. A torn final line — a crash
-// between write and sync — is truncated, never parsed.
-func openQueueJournal(path string) (*queueJournal, []queueRecord, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+// openQueueJournal opens (or creates) the service's durable submission log at
+// path, returning the records that survive wal's torn-tail rule, in order. A
+// submission is acknowledged only after its Append returns.
+func openQueueJournal(path string) (*wal.Log, []queueRecord, error) {
+	var records []queueRecord
+	q, err := wal.Open(path, func(line []byte) error {
+		var rec queueRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		records = append(records, rec)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("svc: open queue journal: %w", err)
 	}
-	var records []queueRecord
-	valid := int64(0)
-	rd := bufio.NewReader(f)
-	for {
-		line, err := rd.ReadBytes('\n')
-		if err != nil {
-			// No trailing newline (or a read error): everything past the
-			// last complete line is a torn tail.
-			if err != io.EOF {
-				f.Close()
-				return nil, nil, fmt.Errorf("svc: read queue journal: %w", err)
-			}
-			break
-		}
-		var rec queueRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // corrupt line: truncate from here
-		}
-		records = append(records, rec)
-		valid += int64(len(line))
-	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("svc: truncate queue journal tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return &queueJournal{f: f}, records, nil
-}
-
-// Append durably writes one record: encode, write, fsync.
-func (q *queueJournal) Append(rec queueRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, err := q.f.Write(b); err != nil {
-		return fmt.Errorf("svc: append queue journal: %w", err)
-	}
-	if err := q.f.Sync(); err != nil {
-		return fmt.Errorf("svc: sync queue journal: %w", err)
-	}
-	return nil
-}
-
-func (q *queueJournal) Close() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.f.Close()
+	return q, records, nil
 }

@@ -33,6 +33,7 @@ import (
 	"fdip/internal/core"
 	"fdip/internal/dist"
 	"fdip/internal/engine"
+	"fdip/internal/wal"
 )
 
 // Options configures a Server.
@@ -166,7 +167,7 @@ type Server struct {
 	opts  Options
 	reg   *dist.Registry
 	cache *resultCache
-	queue *queueJournal
+	queue *wal.Log
 
 	mu    sync.Mutex
 	cond  *sync.Cond // guards/announces every sweep-state and buffer change
@@ -342,6 +343,9 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	sw := &sweep{id: fmt.Sprintf("s%06d", s.seq), seq: s.seq, req: req, plan: p, state: StateQueued}
 	// Durability precedes acknowledgement: the submission is journaled (and
 	// fsynced) before the client learns its id.
+	// Handing the id back on failure is safe even if its record reached
+	// disk: a failed append poisons the log, so no later submission can be
+	// acknowledged under this id.
 	if err := s.queue.Append(queueRecord{Op: "submit", ID: sw.id, Req: &req}); err != nil {
 		s.seq--
 		return JobStatus{}, err

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -552,11 +553,16 @@ func TestQueueJournalTornTail(t *testing.T) {
 	if err := q.Append(queueRecord{Op: "done", ID: "s000001"}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
+	q.Close()
 	// Crash mid-append: half a record, no newline.
-	if _, err := q.f.Write([]byte(`{"op":"submit","id":"s0000`)); err != nil {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatalf("tear: %v", err)
 	}
-	q.Close()
+	if _, err := f.WriteString(`{"op":"submit","id":"s0000`); err != nil {
+		t.Fatalf("tear: %v", err)
+	}
+	f.Close()
 
 	q2, records, err := openQueueJournal(path)
 	if err != nil {
